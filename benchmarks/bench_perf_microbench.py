@@ -171,8 +171,8 @@ class TestQueryRouting:
 class TestObservabilityOverhead:
     """Observability must be free when off: the platform accepts ``obs=``
     everywhere, so the disabled path (``Observability.disabled()``, a
-    NullRegistry and no recorder) has to cost the same as no ``obs`` at all
-    on the query-routing hot loop."""
+    NullRegistry and a span recorder without sinks) has to cost the same as
+    no ``obs`` at all on the query-routing hot loop."""
 
     N_QUERIES = 50
 

@@ -6,7 +6,7 @@ template shapes (trend + seasonality) with autocorrelated noise, so each
 query has a genuine family of near neighbours.
 
 Also demonstrates the query *trace*: the embedded-tree execution of one
-range query, printed step by step.
+range query, recorded as qid-correlated spans and printed as a tree.
 
 Run:  python examples/timeseries_search.py
 """
@@ -14,10 +14,9 @@ Run:  python examples/timeseries_search.py
 import numpy as np
 
 from repro import ChordRing, IndexPlatform, ManhattanMetric
-from repro.core.trace import TracingProtocol
 from repro.datasets.timeseries import TimeSeriesFamilyConfig, generate_timeseries
+from repro.obs import Observability
 from repro.sim.king import king_latency_model
-from repro.sim.stats import StatsCollector
 
 
 def main() -> None:
@@ -28,7 +27,8 @@ def main() -> None:
     metric = ManhattanMetric(box=(cfg.low, cfg.high), dim=cfg.length)
     latency = king_latency_model(n_hosts=32, seed=0)
     ring = ChordRing.build(32, m=28, seed=0, latency=latency, pns=True)
-    platform = IndexPlatform(ring)
+    obs = Observability(metrics=False, tracing=True)
+    platform = IndexPlatform(ring, obs=obs)
     platform.create_index(
         "series", series, metric, k=4, selection="kmeans", sample_size=300, seed=1
     )
@@ -46,21 +46,16 @@ def main() -> None:
         )
 
     # -- trace one query through the embedded tree -----------------------------
-    stats = StatsCollector()
-    proto = TracingProtocol(
-        platform.sim, platform.indexes["series"], stats, latency=platform.latency
-    )
-    platform.sim.reset()
-    q = platform.indexes["series"].make_query(series[0], 0.03 * metric.upper_bound, qid=0)
-    proto.issue(q, ring.nodes()[0])
-    platform.sim.run()
-    trace = proto.traces[0]
+    fut = platform.query_async("series", series[0], radius=0.03 * metric.upper_bound)
+    fut.engine.run_until_complete([fut])
+    tree = obs.span_tree(fut.qid)
+    solves = tree.of_kind("solve")
     print(
-        f"\ntraced query: {len(trace.routes())} routing steps, "
-        f"{len(trace.refines())} refinements, {len(trace.solves())} local solves "
-        f"on {len(trace.nodes_visited())} nodes"
+        f"\ntraced query: {len(tree.of_kind('route'))} routing steps, "
+        f"{len(tree.of_kind('refine'))} refinements, {len(solves)} local solves "
+        f"on {len({s.node for s in solves})} nodes"
     )
-    print(trace.render(m=28, limit=15))
+    print(tree.render(max_spans=15))
 
 
 if __name__ == "__main__":

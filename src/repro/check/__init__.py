@@ -4,7 +4,7 @@ Three legs, built on the hooks the rest of the stack exposes:
 
 * :mod:`repro.check.invariants` — runtime assertions: Chord ring
   consistency, exactly-one-owner shard placement, query branch
-  conservation, span/stats reconciliation, and online query-partition
+  conservation, and online query-partition
   exactness (QuerySplit tiling, SurrogateRefine key-interval tiling);
 * :mod:`repro.check.replay` — scenarios, run fingerprints and JSON replay
   logs; ``repro replay <log>`` re-executes a recorded run and proves it

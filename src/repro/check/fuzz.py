@@ -10,7 +10,7 @@ rebalances.  After every operation:
   *exactly* — ids and bit-identical distances; faults-on runs must never
   return a false positive);
 * the full invariant suite runs (ring consistency, exactly-one-owner
-  placement, branch conservation, span reconciliation, partition tiling —
+  placement, branch conservation, partition tiling —
   see :mod:`repro.check.invariants`).
 
 The machine appends each executed op to a :class:`~repro.check.replay.Scenario`

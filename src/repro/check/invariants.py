@@ -13,8 +13,8 @@ Two kinds of checker:
 * :class:`InvariantChecker` — *global-state* assertions evaluated on demand
   or periodically on the simulation clock (:meth:`InvariantChecker.attach`):
   ring consistency against the oracle membership, exactly-one-owner shard
-  placement for every index entry, branch conservation across lifecycle
-  engines, and span-tree reconciliation against per-query stats.
+  placement for every index entry, and branch conservation across
+  lifecycle engines.
 * :class:`PartitionChecker` — an *online* observer wired into
   :class:`repro.core.routing.QueryProtocol` (the ``checker=`` parameter):
   verifies every QuerySplit tiles the parent hyperrectangle and every
@@ -289,8 +289,7 @@ class InvariantChecker(_Reporter):
     ----------
     platform:
         Optional :class:`repro.core.platform.IndexPlatform`; supplies the
-        ring, the hosted indexes (ownership checks) and the observability
-        bundle (span reconciliation).
+        ring and the hosted indexes (ownership checks).
     ring:
         A :class:`repro.dht.ring.ChordRing` when no platform is given.
     strict:
@@ -437,48 +436,21 @@ class InvariantChecker(_Reporter):
                 return
             self._passed("conservation")
 
-    # -- span-tree reconciliation ---------------------------------------------------
-
-    def check_spans(self, stats: Any, qid: int | None = None) -> None:
-        """Reconcile recorded spans against per-query stats counters.
-
-        Needs the platform's observability with a memory span sink.  Checks
-        terminal (or untracked-but-finished) queries only.
-        """
-        obs = self.platform.obs if self.platform is not None else None
-        memory = obs.span_memory if obs is not None else None
-        if memory is None:
-            return
-        from repro.obs.spans import reconcile_with_stats
-
-        qids = [qid] if qid is not None else sorted(stats.queries)
-        for q in qids:
-            qs = stats.queries.get(q)
-            if qs is None or (qs.state not in ("complete", "timed_out", "untracked")):
-                continue
-            problems = reconcile_with_stats(memory.for_query(q), qs)
-            if problems:
-                self._fail("spans.reconcile", f"qid {q}: " + "; ".join(problems))
-                return
-            self._passed("spans")
-
     # -- orchestration -----------------------------------------------------------------
 
-    def check_all(self, stats: Any = None) -> InvariantChecker:
+    def check_all(self) -> InvariantChecker:
         self.check_ring()
         self.check_ownership()
         self.check_conservation()
-        if stats is not None:
-            self.check_spans(stats)
         return self
 
-    def attach(self, sim: Any, interval: float = 1.0, stats: Any = None) -> None:
+    def attach(self, sim: Any, interval: float = 1.0) -> None:
         """Run :meth:`check_all` every ``interval`` sim-seconds while events
         remain queued (``sim.every`` re-arms only on a truthy return, so the
         checker never keeps an otherwise-finished simulation alive)."""
 
         def tick() -> bool:
-            self.check_all(stats)
+            self.check_all()
             return sim.pending() > 0
 
         sim.every(interval, tick)

@@ -100,7 +100,7 @@ class MessageSchemaRule(Rule):
     id = "CON302"
     name = "message-trace-schema"
     rationale = (
-        "Trace consumers (replay diffing, span reconciliation, CI "
+        "Trace consumers (replay diffing, CI "
         "artifact dashboards) need a schema for every message dataclass; "
         "registration keeps the schema exhaustive by construction."
     )

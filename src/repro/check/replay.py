@@ -252,13 +252,12 @@ def apply_op(world: World, op: list[Any]) -> str:
     summary = _OPS[kind](world, *op[1:])
     world.timeline.append(f"{kind}: {summary}")
     # global invariants hold at every operation boundary
-    world.invariants.check_all(world.stats)
+    world.invariants.check_all()
     return summary
 
 
 def _op_range(world: World, qseed: int, radius: float) -> str:
     obj = world._query_object(int(qseed))
-    stats_before = set(world.stats.queries)
     entries = world.platform.query(
         world.name, obj, float(radius),
         source_node=world._live_source(),
@@ -266,11 +265,8 @@ def _op_range(world: World, qseed: int, radius: float) -> str:
         engine=world.engine, stats=world.stats,
         checker=world.partition,
     )
-    qid = max(set(world.stats.queries) - stats_before, default=None)
     for e in sorted(entries, key=lambda e: (e.distance, e.object_id)):
         world._digest(e.object_id, float(e.distance).hex())
-    if qid is not None:
-        world.invariants.check_spans(world.stats, qid=qid)
     if world.oracle is not None:
         diff = world.oracle.compare_range(obj, float(radius), entries)
         if diff["false_positives"] or diff["distance_errors"]:

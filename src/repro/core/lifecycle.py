@@ -42,6 +42,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.obs.spans import SpanRecorder
+
 __all__ = [
     "ISSUED",
     "ROUTING",
@@ -249,16 +251,17 @@ class LifecycleEngine:
         transport: Any,
         policy: RetryPolicy | None = None,
         metrics: Any = None,
-        recorder: Any = None,
+        recorder: SpanRecorder | None = None,
     ) -> None:
         self.transport = transport
         self.policy = policy if policy is not None else RetryPolicy()
         self.records: dict[int, _Record] = {}
         self.counters = LifecycleCounters()
-        #: optional SpanRecorder — retransmission/deadline events become
-        #: spans, and query root spans are finished here (the engine is the
-        #: one component that knows when a query reached a terminal state)
-        self.recorder = recorder
+        #: retransmission/deadline events become spans, and query root
+        #: spans are finished here (the engine is the one component that
+        #: knows when a query reached a terminal state); without a recorder
+        #: given, a sinkless one that builds no spans
+        self.recorder = recorder or SpanRecorder()
         # instruments resolved once; open/settle run per message branch
         if metrics is not None and getattr(metrics, "enabled", False):
             self._m_opened = metrics.counter(
@@ -481,11 +484,8 @@ class LifecycleEngine:
             self.counters.retransmissions += 1
             if self._m_retrans is not None:
                 self._m_retrans.inc()
-            if self.recorder is not None:
-                self.recorder.event(
-                    rec.qid, "retransmit", bid=br.bid, attempt=br.attempts)
-            if rec.stats is not None:
-                rec.stats.retransmissions += 1
+            self.recorder.event(
+                rec.qid, "retransmit", bid=br.bid, attempt=br.attempts)
         attempt = br.attempts
         br.send(attempt)
         # The branch may have settled synchronously (self-delivery at zero
@@ -537,8 +537,7 @@ class LifecycleEngine:
         if self._m_deadline is not None:
             self._m_deadline.inc()
             self._m_queries.inc((TIMED_OUT,))
-        if self.recorder is not None:
-            self.recorder.event(rec.qid, "deadline", status=TIMED_OUT)
+        self.recorder.event(rec.qid, "deadline", status=TIMED_OUT)
         self._finalize(rec)
 
     def _complete(self, rec: _Record) -> None:
@@ -554,8 +553,7 @@ class LifecycleEngine:
             rec.deadline_timer = None
         if rec.stats is not None:
             rec.stats.completed_at = self.transport.sim.now
-        if self.recorder is not None:
-            self.recorder.finish_query(rec.qid, status=rec.state)
+        self.recorder.finish_query(rec.qid, status=rec.state)
         callbacks, rec.callbacks = rec.callbacks, []
         for fn in callbacks:
             fn(rec.future)

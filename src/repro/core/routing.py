@@ -18,7 +18,11 @@
 All network delivery — latency lookup, liveness checks, drop accounting,
 fault injection and per-message tracing — goes through the shared
 :class:`repro.sim.transport.Transport`; this module only decides *what* to
-send *where*.  When a :class:`repro.core.lifecycle.LifecycleEngine` is
+send *where*.  Every per-query event (send, drop, route, refine, solve,
+result) is one :meth:`QueryProtocol._event` call, which folds it into the
+query's :class:`repro.sim.stats.QueryStats` and emits it as a span (see
+:mod:`repro.obs.spans`): the cost counters and the trace are two views of
+one event stream.  When a :class:`repro.core.lifecycle.LifecycleEngine` is
 attached, every message additionally runs as one tracked *branch*: opened
 before the send, settled after the receiving side processed it, retried on
 drops/timeouts and deduplicated on retransmission races — which gives each
@@ -59,8 +63,9 @@ import numpy as np
 
 from repro.core.query import RangeQuery, Rect, query_split
 from repro.core.lph import prefix_to_cuboid
+from repro.obs.spans import SpanRecorder
 from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
-from repro.sim.transport import Protocol
+from repro.sim.transport import DROPPED_DEAD, Protocol
 from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
 
 __all__ = ["QueryProtocol"]
@@ -107,11 +112,11 @@ class QueryProtocol(Protocol):
         tracked, retryable branch.
     obs:
         Optional :class:`repro.obs.Observability`.  Routing counters and hop
-        histograms land in its metrics registry; when its span recorder is
-        active, every routing step, surrogate refinement, local solve,
-        message send/drop and result arrival is emitted as a qid-correlated
-        span (see :mod:`repro.obs.spans`).  ``None`` (the default) costs one
-        ``is not None`` test per step.
+        histograms land in its metrics registry; when it traces, every
+        routing step, surrogate refinement, local solve, message send/drop
+        and result arrival is emitted as a qid-correlated span (see
+        :mod:`repro.obs.spans`).  ``None`` (the default) uses a recorder
+        without sinks, which builds no spans.
     checker:
         Optional partition-exactness observer (duck-typed; see
         :class:`repro.check.invariants.PartitionChecker`).  Two callbacks:
@@ -153,7 +158,7 @@ class QueryProtocol(Protocol):
         self.reply_empty = reply_empty
         self.engine = engine
         self.checker = checker
-        self.recorder = obs.recorder if obs is not None else None
+        self.recorder = obs.recorder if obs is not None else SpanRecorder()
         registry = obs.registry if obs is not None else None
         if registry is not None and registry.enabled:
             from repro.obs.registry import DEFAULT_HOP_BUCKETS
@@ -190,6 +195,16 @@ class QueryProtocol(Protocol):
     def _next_hop(self, node: Any, prefix_key: int) -> Any:
         return node.next_hop(self._rotate(prefix_key))
 
+    # -- the per-query event stream ---------------------------------------------
+
+    def _event(self, qid: int, kind: str, node: int | None = None,
+               parent: int | None = None, status: str = "ok",
+               **attrs: Any) -> int | None:
+        """Record one per-query event: fold it into ``self.stats`` and emit
+        its span.  Returns the span id (``None`` when nothing traces)."""
+        self.stats.fold(qid, kind, node, self.sim.now, attrs)
+        return self.recorder.emit(qid, kind, parent, node, status, attrs)
+
     # -- lifecycle-tracked message plumbing ------------------------------------
     #
     # All three query protocols (this one, NaiveProtocol, SfcRangeProtocol)
@@ -201,14 +216,10 @@ class QueryProtocol(Protocol):
                  psid: int | None = None) -> Callable[[Any], None]:
         """A per-message drop callback: attribute the loss to ``qid`` and
         notify the lifecycle engine so the branch retries or settles."""
-        st = self.stats.for_query(qid)
         engine = self.engine
-        recorder = self.recorder
 
         def on_drop(trace: Any) -> None:
-            st.dropped_messages += 1
-            if recorder is not None:
-                recorder.event(qid, "drop", parent=psid, status=trace.status)
+            self._event(qid, "drop", parent=psid, status=trace.status)
             if engine is not None:
                 engine.notify_drop(qid, bid)
 
@@ -227,34 +238,30 @@ class QueryProtocol(Protocol):
     ) -> None:
         """Send ``fn(*args)``-at-``dst`` as one lifecycle branch.
 
-        ``record`` charges the message to the query's byte/message counters
-        per transmission attempt (retries are real traffic); result replies
-        pass ``record=False`` and account on arrival instead.  Without an
-        engine this degrades to a plain transport send.
+        Each transmission attempt is one ``send`` event.  ``record`` marks it
+        ``charged``: the query's byte/message counters are billed per attempt
+        (retries are real traffic); result replies pass ``record=False`` and
+        account on arrival instead.  Without an engine this degrades to a
+        plain transport send.
 
-        With a span recorder, each transmission attempt emits a ``send``
-        span parented to the span that was current when the send was
-        *initiated* (captured here — a retransmission fires from a timer,
-        when the context stack is long gone).  The send span's id travels
-        with the message so processing at the receiver nests under it.
+        The send span is parented to the span that was current when the send
+        was *initiated* (captured here — a retransmission fires from a timer,
+        when the context stack is long gone).  Its id travels with the
+        message so processing at the receiver nests under it.
         """
         engine = self.engine
         bid = engine.open(qid) if engine is not None else None
-        recorder = self.recorder
-        parent = recorder.context(qid) if recorder is not None else None
+        parent = self.recorder.context(qid)
         charged = bool(record and size)
 
         def transmit(attempt: int = 1) -> None:
-            if record and size:
-                self.stats.for_query(qid).record_query_message(size)
+            if charged:
                 self.note_traffic(src, dst)
-            psid = None
-            if recorder is not None:
-                psid = recorder.event(
-                    qid, "send", parent=parent, node=src.id,
-                    msg_kind=kind, size=size, dst=dst.id,
-                    attempt=attempt, charged=charged,
-                )
+            psid = self._event(
+                qid, "send", node=src.id, parent=parent,
+                msg_kind=kind, size=size, dst=dst.id,
+                attempt=attempt, charged=charged,
+            )
             self.transport.send(
                 src, dst, self._recv, qid, bid, psid, fn, args,
                 kind=kind, size=size, qid=qid, attempt=attempt,
@@ -275,8 +282,7 @@ class QueryProtocol(Protocol):
         receiver does nests under the message that triggered it.
         """
         recorder = self.recorder
-        if recorder is not None and psid is not None:
-            recorder.push(psid)
+        recorder.push(psid)
         try:
             engine = self.engine
             if engine is None or bid is None:
@@ -289,8 +295,7 @@ class QueryProtocol(Protocol):
             finally:
                 engine.settle(qid, bid)
         finally:
-            if recorder is not None and psid is not None:
-                recorder.pop()
+            recorder.pop()
 
     # -- entry points ----------------------------------------------------------
 
@@ -304,8 +309,7 @@ class QueryProtocol(Protocol):
         query.source = node
         st = self.stats.for_query(query.qid)
         st.issued_at = self.sim.now if at_time is None else at_time
-        if self.recorder is not None:
-            self.recorder.begin_query(query.qid, node=node.id)
+        self.recorder.begin_query(query.qid, node=node.id)
         if self.engine is None:
             if at_time is None:
                 self._start(node, query)
@@ -349,8 +353,7 @@ class QueryProtocol(Protocol):
             query.source = node
             st = self.stats.for_query(query.qid)
             st.issued_at = at
-            if self.recorder is not None:
-                self.recorder.begin_query(query.qid, node=node.id)
+            self.recorder.begin_query(query.qid, node=node.id)
             entries.append((at, self._start, (node, query)))
         self.transport.at_batch(entries)
         return [None] * len(entries)
@@ -370,7 +373,7 @@ class QueryProtocol(Protocol):
     def _query_routing(self, node: Any, q: RangeQuery, hops: int) -> None:
         if not node.alive:
             # the issuing node crashed before its scheduled query fired
-            self.stats.for_query(q.qid).dropped_messages += 1
+            self._event(q.qid, "drop", node=node.id, status=DROPPED_DEAD)
             return
         m = self.index.m
         if q.prefix_len == m:
@@ -390,13 +393,10 @@ class QueryProtocol(Protocol):
             if self.checker is not None:
                 self.checker.on_split(q, sublist)
         recorder = self.recorder
-        sid = None
-        if recorder is not None:
-            sid = recorder.event(
-                q.qid, "route", node=node.id, hops=hops,
-                prefix_len=q.prefix_len, subqueries=len(sublist),
-            )
-            recorder.push(sid)
+        recorder.push(self._event(
+            q.qid, "route", node=node.id, hops=hops,
+            prefix_len=q.prefix_len, subqueries=len(sublist),
+        ))
         try:
             routing_groups: dict[Any, list[RangeQuery]] = {}
             refine_groups: dict[Any, list[RangeQuery]] = {}
@@ -413,8 +413,7 @@ class QueryProtocol(Protocol):
             for dest, sqs in refine_groups.items():
                 self._send(node, dest, "refine", sqs, hops)
         finally:
-            if recorder is not None:
-                recorder.pop()
+            recorder.pop()
 
     # -- message plumbing --------------------------------------------------------
 
@@ -450,21 +449,17 @@ class QueryProtocol(Protocol):
         if self._m_refines is not None:
             self._m_refines.inc(self._refine_label)
         recorder = self.recorder
-        sid = None
-        if recorder is not None:
-            sid = recorder.event(
-                q.qid, "refine", node=node.id, hops=hops,
-                mode=self.surrogate_mode, prefix_len=q.prefix_len,
-            )
-            recorder.push(sid)
+        recorder.push(self._event(
+            q.qid, "refine", node=node.id, hops=hops,
+            mode=self.surrogate_mode, prefix_len=q.prefix_len,
+        ))
         try:
             if self.surrogate_mode == "fixed":
                 self._surrogate_refine_fixed(node, q, hops)
             else:
                 self._surrogate_refine_literal(node, q, hops)
         finally:
-            if recorder is not None:
-                recorder.pop()
+            recorder.pop()
 
     def _claimed_range(self, q: RangeQuery) -> tuple[int, int]:
         """The key interval of the cuboid a subquery claims."""
@@ -547,8 +542,6 @@ class QueryProtocol(Protocol):
         candidate superset with true distances (paper §4.1: "each queried
         index node returns the 10-nearest local results").
         """
-        st = self.stats.for_query(q.qid)
-        st.record_index_node(node.id, hops)
         if self._m_solves is not None:
             self._m_solves.inc(self._proto_label)
             self._h_hops.observe(hops, self._proto_label)
@@ -572,37 +565,23 @@ class QueryProtocol(Protocol):
                 entries = [
                     ResultEntry(int(oid), float(d)) for oid, d in zip(object_ids, dists)
                 ]
-        recorder = self.recorder
-        sid = None
-        if recorder is not None:
-            sid = recorder.event(
-                q.qid, "solve", node=node.id, hops=hops,
-                results=len(entries), key_lo=key_lo, key_hi=key_hi,
-            )
+        sid = self._event(
+            q.qid, "solve", node=node.id, hops=hops,
+            results=len(entries), key_lo=key_lo, key_hi=key_hi,
+        )
         if entries or self.reply_empty:
-            if recorder is not None:
-                recorder.push(sid)
+            recorder = self.recorder
+            recorder.push(sid)
             try:
                 self._reply(node, q, entries)
             finally:
-                if recorder is not None:
-                    recorder.pop()
+                recorder.pop()
 
     def _reply(self, node: Any, q: RangeQuery, entries: list[ResultEntry]) -> None:
         msg = ResultMessage(q.qid, entries, from_node=node.id)
-        st = self.stats.for_query(q.qid)
         if q.source is node:
-            st.record_result_message(0, self.sim.now)
-            st.entries.extend(entries)
-            # a local reply is still one "result" leaf in the span tree —
-            # span counts must match QueryStats.result_messages exactly
-            if self.recorder is not None:
-                self.recorder.event(
-                    q.qid, "result", node=node.id,
-                    results=len(entries), size=0, local=True,
-                )
-            if self.engine is not None:
-                self.engine.add_entries(q.qid, entries)
+            # a local reply is still one "result" event, of zero bytes
+            self._arrive_result(q.qid, msg, local=True)
             return
         self.note_traffic(node, q.source)
         # result bytes are charged on arrival (a dropped or duplicated reply
@@ -612,14 +591,12 @@ class QueryProtocol(Protocol):
             kind="result", size=msg.size, qid=q.qid, record=False,
         )
 
-    def _arrive_result(self, qid: int, msg: ResultMessage) -> None:
-        st = self.stats.for_query(qid)
-        st.record_result_message(msg.size, self.sim.now)
-        st.entries.extend(msg.entries)
-        if self.recorder is not None:
-            self.recorder.event(
-                qid, "result", node=msg.from_node,
-                results=len(msg.entries), size=msg.size, local=False,
-            )
+    def _arrive_result(self, qid: int, msg: ResultMessage,
+                       local: bool = False) -> None:
+        self.stats.for_query(qid).entries.extend(msg.entries)
+        self._event(
+            qid, "result", node=msg.from_node,
+            results=len(msg.entries), size=0 if local else msg.size, local=local,
+        )
         if self.engine is not None:
             self.engine.add_entries(qid, msg.entries)

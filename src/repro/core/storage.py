@@ -52,6 +52,33 @@ from repro.util.arrays import decode_array, encode_array
 __all__ = ["Shard", "ShardStore", "WriteAheadLog", "PersistentShard"]
 
 
+def _range_scan(
+    keys: np.ndarray,
+    points: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    key_lo: int | None,
+    key_hi: int | None,
+) -> np.ndarray:
+    """Positions of rows inside the rectangle and the key range.
+
+    ``keys`` must be non-decreasing: the key range then bounds a contiguous
+    slice found by two ``searchsorted`` calls, and the rectangle mask runs
+    over that slice only.  The kernel of both :meth:`Shard.range_search`
+    and :meth:`ShardStore.range_search`.
+    """
+    start, stop = 0, len(keys)
+    if key_lo is not None:
+        start = int(np.searchsorted(keys, np.uint64(key_lo), side="left"))
+    if key_hi is not None:
+        stop = int(np.searchsorted(keys, np.uint64(key_hi), side="right"))
+    if start >= stop:
+        return np.empty(0, dtype=np.int64)
+    window = points[start:stop]
+    mask = np.all((window >= lows) & (window <= highs), axis=1)
+    return np.flatnonzero(mask) + start
+
+
 class Shard:
     """Columnar store of the index entries held by one node for one index.
 
@@ -157,17 +184,7 @@ class Shard:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         self._ensure_sorted()
-        keys = self._keys[:n]
-        start, stop = 0, n
-        if key_lo is not None:
-            start = int(np.searchsorted(keys, np.uint64(key_lo), side="left"))
-        if key_hi is not None:
-            stop = int(np.searchsorted(keys, np.uint64(key_hi), side="right"))
-        if start >= stop:
-            return np.empty(0, dtype=np.int64)
-        pts = self._points[start:stop]
-        mask = np.all((pts >= lows) & (pts <= highs), axis=1)
-        return np.flatnonzero(mask) + start
+        return _range_scan(self._keys[:n], self._points, lows, highs, key_lo, key_hi)
 
 
 class ShardStore:
@@ -252,19 +269,7 @@ class ShardStore:
         slot's slice of the block.
         """
         keys, pts, _ = self.slice(slot)
-        n = len(keys)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        start, stop = 0, n
-        if key_lo is not None:
-            start = int(np.searchsorted(keys, np.uint64(key_lo), side="left"))
-        if key_hi is not None:
-            stop = int(np.searchsorted(keys, np.uint64(key_hi), side="right"))
-        if start >= stop:
-            return np.empty(0, dtype=np.int64)
-        window = pts[start:stop]
-        mask = np.all((window >= lows) & (window <= highs), axis=1)
-        return np.flatnonzero(mask) + start
+        return _range_scan(keys, pts, lows, highs, key_lo, key_hi)
 
 
 class WriteAheadLog:

@@ -11,7 +11,8 @@ One :class:`Observability` object bundles the three legs —
 
 and is what :class:`repro.core.platform.IndexPlatform` and the eval runner
 accept as ``obs=``.  Pass ``obs=None`` (the default everywhere) and no
-instrumentation code runs beyond an ``is not None`` test per call site; pass
+instrumentation code runs beyond an ``is not None`` test per metric call
+site and one call per span event into a sinkless recorder; pass
 ``Observability()`` for metrics only; pass
 ``Observability(tracing=True)`` (optionally with ``trace_path=``) for full
 span tracing.  See ``docs/observability.md`` for the metrics catalogue.
@@ -89,8 +90,6 @@ from .spans import (
     SpanRecorder,
     SpanSink,
     SpanTree,
-    reconcile_with_stats,
-    spans_from_query_trace,
 )
 
 __all__ = [
@@ -101,7 +100,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS", "DEFAULT_HOP_BUCKETS",
     # spans
     "Span", "SpanSink", "MemorySpanSink", "JsonlSpanSink",
-    "SpanRecorder", "SpanTree", "spans_from_query_trace", "reconcile_with_stats",
+    "SpanRecorder", "SpanTree",
     # health
     "HealthSample", "HealthSampler",
     # load
@@ -131,12 +130,12 @@ class Observability:
     """The bundle a platform/runner threads through the stack.
 
     ``metrics=False`` swaps in the shared :data:`NULL_REGISTRY` so
-    instrument calls are no-ops; ``tracing=True`` creates a
-    :class:`SpanRecorder` with an in-memory sink (plus a JSONL sink when
-    ``trace_path`` is given, or any extra ``span_sink``).  The object is a
-    context manager; closing flushes open spans and closes file-backed
-    sinks, so ``with Observability(...) as obs:`` can never leave a
-    truncated trace file.
+    instrument calls are no-ops.  The :class:`SpanRecorder` always exists;
+    ``tracing=True`` gives it an in-memory sink (plus a JSONL sink when
+    ``trace_path`` is given), and without either it has no sinks and builds
+    no spans.  The object is a context manager; closing flushes open spans
+    and closes file-backed sinks, so ``with Observability(...) as obs:`` can
+    never leave a truncated trace file.
     """
 
     def __init__(
@@ -144,21 +143,15 @@ class Observability:
         metrics: bool = True,
         tracing: bool = False,
         trace_path: Any = None,
-        span_sink: SpanSink | None = None,
-        memory_spans: bool = True,
     ) -> None:
         self.registry: MetricsRegistry = MetricsRegistry() if metrics else NULL_REGISTRY
-        self.recorder: SpanRecorder | None = None
+        self.recorder = SpanRecorder()
         self.span_memory: MemorySpanSink | None = None
-        if tracing or trace_path is not None or span_sink is not None:
-            self.recorder = SpanRecorder()
-            if memory_spans:
-                self.span_memory = MemorySpanSink()
-                self.recorder.add_sink(self.span_memory)
+        if tracing or trace_path is not None:
+            self.span_memory = MemorySpanSink()
+            self.recorder.add_sink(self.span_memory)
             if trace_path is not None:
                 self.recorder.add_sink(JsonlSpanSink(trace_path))
-            if span_sink is not None:
-                self.recorder.add_sink(span_sink)
         self.samplers: list[HealthSampler] = []
         self._closed = False
 
@@ -169,12 +162,11 @@ class Observability:
 
     @property
     def enabled(self) -> bool:
-        return self.registry.enabled or self.recorder is not None
+        return self.registry.enabled or bool(self.recorder.sinks)
 
     def bind(self, sim: Simulator) -> Observability:
         """Point the span clock (and future samplers) at this simulator."""
-        if self.recorder is not None:
-            self.recorder.bind(sim)
+        self.recorder.bind(sim)
         return self
 
     def health_sampler(
@@ -207,8 +199,7 @@ class Observability:
         self._closed = True
         for sampler in self.samplers:
             sampler.close()
-        if self.recorder is not None:
-            self.recorder.close()
+        self.recorder.close()
 
     def __enter__(self) -> Observability:
         return self

@@ -1,15 +1,13 @@
 """Qid-correlated span tracing: one stream for a query's whole execution.
 
-Before this module the record of one query was scattered across three
-disjoint streams: the transport's :class:`~repro.sim.transport.MessageTrace`
-records (per-message, terminal state only), the lifecycle engine's branch
-counters, and :class:`~repro.core.trace.TraceEvent` routing-tree events
-(per-protocol, memory only).  A :class:`SpanRecorder` unifies them: every
-subsystem emits :class:`Span` records carrying the query id, a span id and a
-*parent* span id into one fan-out, so the full embedded-tree execution of a
-query — issue, message sends, retransmissions, drops, routing splits,
-surrogate refinements, local solves, result arrivals, completion — is
-reconstructable from a single stream (:class:`SpanTree`).
+Every per-query event of the simulator — issue, message sends,
+retransmissions, drops, routing splits, surrogate refinements, local solves,
+result arrivals, completion — is one call that folds the event into the
+query's :class:`~repro.sim.stats.QueryStats` and emits it here as a
+:class:`Span` carrying the query id, a span id and a *parent* span id, so
+the full embedded-tree execution of a query is reconstructable from a single
+stream (:class:`SpanTree`).  A recorder without sinks is the untraced case:
+it allocates no span ids and builds no :class:`Span` objects.
 
 Parent propagation uses the fact that the simulator is single-threaded: the
 recorder keeps a *current-span stack*.  A protocol pushes the span of the
@@ -43,8 +41,6 @@ __all__ = [
     "JsonlSpanSink",
     "SpanRecorder",
     "SpanTree",
-    "spans_from_query_trace",
-    "reconcile_with_stats",
 ]
 
 
@@ -152,13 +148,18 @@ class SpanRecorder:
     immediately; interval spans (:meth:`begin`/:meth:`finish`) are emitted at
     finish time, and :meth:`flush_open` emits whatever is still open (with
     ``end=None``) so an aborted run still leaves a readable stream.
+
+    Without sinks the recorder is inert: :meth:`event` and
+    :meth:`begin_query` return ``None`` without allocating a span id or
+    building a :class:`Span`, so protocols emit unconditionally and an
+    untraced run pays one method call per event.
     """
 
     def __init__(self, *sinks: SpanSink) -> None:
         self.sinks: list[SpanSink] = list(sinks)
         self._sim = None
         self._next_sid = 0
-        self._stack: list[int] = []
+        self._stack: list[int | None] = []
         #: open per-query root spans, finished by the lifecycle engine
         self._query_roots: dict[int, Span] = {}
         #: other open interval spans
@@ -178,14 +179,11 @@ class SpanRecorder:
 
     # -- current-span stack -----------------------------------------------------
 
-    def push(self, sid: int) -> None:
+    def push(self, sid: int | None) -> None:
         self._stack.append(sid)
 
     def pop(self) -> None:
         self._stack.pop()
-
-    def current(self) -> int | None:
-        return self._stack[-1] if self._stack else None
 
     def context(self, qid: int | None) -> int | None:
         """The parent for a new span: the stack top, else the query root."""
@@ -213,8 +211,24 @@ class SpanRecorder:
         node: int | None = None,
         status: str = "ok",
         **attrs: Any,
-    ) -> int:
-        """Emit an instantaneous span; returns its sid (usable as a parent)."""
+    ) -> int | None:
+        """Emit an instantaneous span; returns its sid (usable as a parent),
+        or ``None`` when there are no sinks."""
+        return self.emit(qid, kind, parent, node, status, attrs)
+
+    def emit(
+        self,
+        qid: int | None,
+        kind: str,
+        parent: int | None,
+        node: int | None,
+        status: str,
+        attrs: dict[str, Any],
+    ) -> int | None:
+        """:meth:`event` with the attributes as one dict, for callers that
+        already hold them (the per-query event path of the protocols)."""
+        if not self.sinks:
+            return None
         t = self.now()
         span = Span(
             sid=self._alloc(), qid=qid, kind=kind,
@@ -250,8 +264,11 @@ class SpanRecorder:
 
     # -- per-query roots ----------------------------------------------------------
 
-    def begin_query(self, qid: int, **attrs: Any) -> Span:
-        """Open the root span of ``qid`` (idempotent; returns the root)."""
+    def begin_query(self, qid: int, **attrs: Any) -> Span | None:
+        """Open the root span of ``qid`` (idempotent; returns the root, or
+        ``None`` when there are no sinks)."""
+        if not self.sinks:
+            return None
         root = self._query_roots.get(qid)
         if root is None:
             root = Span(
@@ -260,10 +277,6 @@ class SpanRecorder:
             )
             self._query_roots[qid] = root
         return root
-
-    def root_sid(self, qid: int) -> int | None:
-        root = self._query_roots.get(qid)
-        return root.sid if root is not None else None
 
     def finish_query(self, qid: int, status: str = "complete") -> None:
         root = self._query_roots.pop(qid, None)
@@ -387,82 +400,3 @@ class SpanTree:
         if total > len(lines):
             lines.append(f"... {total - len(lines)} more span(s)")
         return "\n".join(lines)
-
-
-def reconcile_with_stats(spans: list[Span], qstats: Any) -> list[str]:
-    """Cross-check one query's span stream against its stats counters.
-
-    The span tree and :class:`repro.sim.stats.QueryStats` are filled by
-    independent code paths, so agreement between them is evidence neither
-    lost an event.  The correspondences checked:
-
-    * ``send`` spans with ``charged=True`` — one per transmission attempt
-      that billed ``record_query_message`` — must equal ``query_messages``;
-    * ``result`` spans (local and remote arrivals) must equal
-      ``result_messages``;
-    * ``drop`` spans must equal ``dropped_messages``;
-    * ``send`` spans with ``attempt > 1`` must equal ``retransmissions``.
-
-    Returns a list of human-readable discrepancies (empty = reconciled).
-    Used by :class:`repro.check.invariants.InvariantChecker`.
-    """
-    sends = sum(1 for s in spans if s.kind == "send" and s.attrs.get("charged"))
-    results = sum(1 for s in spans if s.kind == "result")
-    drops = sum(1 for s in spans if s.kind == "drop")
-    retries = sum(
-        1 for s in spans if s.kind == "send" and s.attrs.get("attempt", 1) > 1
-    )
-    problems: list[str] = []
-    if sends != qstats.query_messages:
-        problems.append(
-            f"{sends} charged send spans vs query_messages={qstats.query_messages}"
-        )
-    if results != qstats.result_messages:
-        problems.append(
-            f"{results} result spans vs result_messages={qstats.result_messages}"
-        )
-    if drops != qstats.dropped_messages:
-        problems.append(
-            f"{drops} drop spans vs dropped_messages={qstats.dropped_messages}"
-        )
-    if retries != qstats.retransmissions:
-        problems.append(
-            f"{retries} retry send spans vs retransmissions={qstats.retransmissions}"
-        )
-    return problems
-
-
-def spans_from_query_trace(
-    qtrace: Any, recorder: SpanRecorder | None = None
-) -> list[Span]:
-    """Convert a :class:`repro.core.trace.QueryTrace` into span records.
-
-    The legacy tracer keeps a flat event list without parent links; the
-    conversion parents every event to a synthetic per-query root so legacy
-    traces join the unified stream losslessly (ordering and payload
-    preserved in ``attrs``).  When ``recorder`` is given the spans are also
-    emitted through it.
-    """
-    spans: list[Span] = []
-    root = Span(sid=-1, qid=qtrace.qid, kind="query", start=0.0, status="legacy")
-    if qtrace.events:
-        root.start = qtrace.events[0].time
-        root.end = qtrace.events[-1].time
-    spans.append(root)
-    for i, e in enumerate(qtrace.events):
-        attrs = {
-            "prefix_key": e.prefix_key, "prefix_len": e.prefix_len,
-            "hops": e.hops, "node_name": e.node_name,
-        }
-        if e.kind == "solve":
-            attrs.update(key_lo=e.key_lo, key_hi=e.key_hi, results=e.results)
-        spans.append(
-            Span(
-                sid=-(i + 2), qid=qtrace.qid, kind=e.kind, parent=-1,
-                node=e.node_id, start=e.time, end=e.time, attrs=attrs,
-            )
-        )
-    if recorder is not None:
-        for s in spans:
-            recorder._emit(s)
-    return spans

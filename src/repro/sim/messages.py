@@ -26,7 +26,6 @@ __all__ = [
     "result_message_size",
     "register_message",
     "message_schema",
-    "message_record",
     "QueryMessage",
     "ResultMessage",
     "ResultEntry",
@@ -35,9 +34,9 @@ __all__ = [
 _T = TypeVar("_T")
 
 #: trace schema: message class name -> tuple of its dataclass field names.
-#: Trace consumers (replay diffing, span reconciliation, dashboards) treat
-#: this as the exhaustive catalogue of what can appear on the wire; the
-#: CON302 lint rule enforces that every `*Message` dataclass registers.
+#: Trace consumers (replay diffing, dashboards) treat this as the
+#: exhaustive catalogue of what can appear on the wire; the CON302 lint
+#: rule enforces that every `*Message` dataclass registers.
 _MESSAGE_SCHEMA: dict[str, tuple[str, ...]] = {}
 
 
@@ -53,21 +52,6 @@ def message_schema() -> dict[str, tuple[str, ...]]:
     """Snapshot of the registered message trace schema (name -> fields)."""
     return dict(_MESSAGE_SCHEMA)
 
-
-def message_record(msg: Any) -> dict[str, Any]:
-    """Shallow field dict of a registered message instance.
-
-    The compat shim for trace consumers: message dataclasses are
-    ``slots=True`` (no ``__dict__``/``vars()``), so consumers that need a
-    field mapping — replay diffing, dashboards — read it through the
-    registered schema instead.  Shallow on purpose: nested values (e.g.
-    ``ResultEntry`` lists) are passed through unconverted, matching what
-    ``vars()`` used to return.
-    """
-    names = _MESSAGE_SCHEMA.get(type(msg).__name__)
-    if names is None:
-        raise TypeError(f"{type(msg).__name__} is not a registered message")
-    return {name: getattr(msg, name) for name in names}
 
 PACKET_HEADER_BYTES = 20
 SOURCE_IP_BYTES = 4

@@ -14,11 +14,23 @@ The paper's evaluation metrics:
 
 :class:`QueryStats` accumulates 1–4 during simulation; recall is computed by
 :mod:`repro.eval.metrics` against ground truth afterwards.
+
+The cost fields are not written by the protocols directly: every per-query
+event a protocol emits as a span (see :mod:`repro.obs.spans`) is handed to
+:meth:`StatsCollector.fold`, which is the one writer of them:
+
+* a charged ``send`` adds a query message and its bytes;
+* a ``send`` with ``attempt > 1`` adds a retransmission;
+* a ``result`` adds a result message, its bytes and the first/last result
+  time;
+* a ``drop`` adds a drop;
+* a ``solve`` adds an index node and updates the hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -79,23 +91,6 @@ class QueryStats:
         """Query-delivery plus result-delivery bandwidth."""
         return self.query_bytes + self.result_bytes
 
-    def record_query_message(self, size: int) -> None:
-        self.query_messages += 1
-        self.query_bytes += size
-
-    def record_result_message(self, size: int, at: float) -> None:
-        self.result_messages += 1
-        self.result_bytes += size
-        if self.first_result_at is None or at < self.first_result_at:
-            self.first_result_at = at
-        if self.last_result_at is None or at > self.last_result_at:
-            self.last_result_at = at
-
-    def record_index_node(self, node_id: int, hops: int) -> None:
-        self.index_nodes.add(node_id)
-        if hops > self.max_hops:
-            self.max_hops = hops
-
 
 class StatsCollector:
     """All per-query stats of a simulation run, with aggregate views.
@@ -123,6 +118,36 @@ class StatsCollector:
 
     def __len__(self) -> int:
         return len(self.queries)
+
+    def fold(self, qid: int, kind: str, node: int | None, at: float,
+             attrs: dict[str, Any]) -> None:
+        """Apply one per-query span event to ``qid``'s §4.1 counters.
+
+        ``kind``, ``node`` and ``attrs`` are the span's fields and ``at`` its
+        simulation time; kinds without a cost meaning (``route``,
+        ``refine``, ...) leave the counters untouched.
+        """
+        st = self.for_query(qid)
+        if kind == "send":
+            if attrs["charged"]:
+                st.query_messages += 1
+                st.query_bytes += attrs["size"]
+            if attrs["attempt"] > 1:
+                st.retransmissions += 1
+        elif kind == "solve":
+            assert node is not None, "solve events carry their node"
+            st.index_nodes.add(node)
+            if attrs["hops"] > st.max_hops:
+                st.max_hops = attrs["hops"]
+        elif kind == "result":
+            st.result_messages += 1
+            st.result_bytes += attrs["size"]
+            if st.first_result_at is None or at < st.first_result_at:
+                st.first_result_at = at
+            if st.last_result_at is None or at > st.last_result_at:
+                st.last_result_at = at
+        elif kind == "drop":
+            st.dropped_messages += 1
 
     # -- aggregates ----------------------------------------------------------
 

@@ -1,17 +1,23 @@
-"""Span recorder, sinks, tree reconstruction and the legacy-trace bridge."""
+"""Span recorder, sinks, tree reconstruction and the per-query event stream."""
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.platform import IndexPlatform
+from repro.dht.ring import ChordRing
+from repro.metric.vector import EuclideanMetric
+from repro.obs import Observability
+from repro.obs import spans as spans_mod
 from repro.obs.spans import (
     JsonlSpanSink,
     MemorySpanSink,
     Span,
     SpanRecorder,
     SpanTree,
-    spans_from_query_trace,
 )
+from repro.sim.network import ConstantLatency
 from repro.sim.transport import MemoryTraceSink, MessageTrace
 
 
@@ -152,29 +158,69 @@ class TestSpanTree:
         assert len(tree) == 1
 
 
-class TestLegacyTraceBridge:
-    def test_query_trace_to_spans(self):
-        from repro.core.trace import QueryTrace, TraceEvent
+def _platform(obs=None):
+    rng = np.random.default_rng(4)
+    data = rng.uniform(0, 100, size=(300, 4))
+    ring = ChordRing.build(12, m=20, seed=4, latency=ConstantLatency(12, delay=0.01))
+    platform = IndexPlatform(ring, obs=obs)
+    platform.create_index(
+        "t", data, EuclideanMetric(box=(0, 100), dim=4), k=3, sample_size=100, seed=0,
+    )
+    return platform, data
 
-        qt = QueryTrace(qid=9)
-        qt.events.append(TraceEvent(
-            kind="route", node_id=1, node_name="n1", prefix_key=0,
-            prefix_len=0, hops=0, time=1.0))
-        qt.events.append(TraceEvent(
-            kind="solve", node_id=2, node_name="n2", prefix_key=4,
-            prefix_len=2, hops=1, time=2.0, key_lo=0, key_hi=8, results=5))
-        spans = qt.to_spans()
-        assert spans[0].kind == "query" and spans[0].qid == 9
-        assert all(s.parent == spans[0].sid for s in spans[1:])
-        solve = [s for s in spans if s.kind == "solve"][0]
-        assert solve.attrs["results"] == 5
-        # the converted records render with the same tooling
-        tree = SpanTree.from_records(spans, qid=9)
-        assert len(tree.roots()) == 1
-        # emitting through a recorder fans out to its sinks
-        sink = MemorySpanSink()
-        spans_from_query_trace(qt, recorder=SpanRecorder(sink))
-        assert len(sink) == 3
+
+class TestOneEventStream:
+    """Every per-query event updates QueryStats and emits its span in one
+    call, so the two can no longer disagree."""
+
+    def test_dead_issuer_drop_is_a_span(self):
+        # the issuing node crashes after the query is scheduled but before
+        # its arrival time: one drop in the stats and one drop span
+        obs = Observability(metrics=False, tracing=True)
+        platform, data = _platform(obs)
+        engine = platform.lifecycle()
+        proto, stats = platform.protocol("t", engine=engine)
+        issuer = platform.ring.nodes()[3]
+        q = platform.indexes["t"].make_query(data[0], 20.0)
+        fut = proto.issue(q, issuer, at_time=1.0)
+        platform.transport.at(0.5, setattr, issuer, "alive", False)
+        assert engine.run_until_complete([fut])
+        st = stats.for_query(q.qid)
+        assert st.dropped_messages == 1
+        assert st.query_messages == 0 and st.result_messages == 0
+        drops = obs.span_tree(q.qid).of_kind("drop")
+        assert len(drops) == 1
+        assert drops[0].node == issuer.id
+        assert drops[0].status == "dropped:dead"
+
+    def test_untraced_run_builds_no_spans(self, monkeypatch):
+        built = []
+
+        class CountingSpan(Span):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spans_mod, "Span", CountingSpan)
+        for obs in (None, Observability()):
+            platform, data = _platform(obs)
+            platform.query("t", data[0], 30.0, top_k=10**6)
+            assert platform.transport.stats.sent > 0
+        assert built == []
+        # the same run traced does build them (the counter is live)
+        platform, data = _platform(Observability(metrics=False, tracing=True))
+        platform.query("t", data[0], 30.0, top_k=10**6)
+        assert built
+
+    def test_sinkless_recorder_is_inert(self):
+        rec = SpanRecorder()
+        assert rec.begin_query(1) is None
+        assert rec.event(1, "send", node=2, size=10) is None
+        rec.push(None)
+        assert rec.context(1) is None
+        rec.pop()
+        rec.finish_query(1)
+        rec.close()
 
 
 class TestMemoryTraceSinkFilters:

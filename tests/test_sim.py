@@ -210,12 +210,26 @@ class TestMessageSizes:
         assert rm.size == result_message_size(4)
 
 
+def _result(c, qid, at, size=26):
+    c.fold(qid, "result", 1, at, {"size": size, "results": 1, "local": False})
+
+
+def _solve(c, qid, node, hops):
+    c.fold(qid, "solve", node, 0.0, {"hops": hops, "results": 0})
+
+
+def _send(c, qid, size, attempt=1, charged=True):
+    c.fold(qid, "send", 1, 0.0, {"size": size, "attempt": attempt, "charged": charged})
+
+
 class TestStats:
     def test_response_and_max_latency(self):
-        qs = QueryStats(qid=0, issued_at=10.0)
-        qs.record_result_message(26, at=10.5)
-        qs.record_result_message(26, at=12.0)
-        qs.record_result_message(26, at=11.0)
+        c = StatsCollector()
+        qs = c.for_query(0)
+        qs.issued_at = 10.0
+        _result(c, 0, at=10.5)
+        _result(c, 0, at=12.0)
+        _result(c, 0, at=11.0)
         assert qs.response_time == pytest.approx(0.5)
         assert qs.max_latency == pytest.approx(2.0)
 
@@ -225,31 +239,36 @@ class TestStats:
         assert qs.max_latency is None
 
     def test_hops_is_max(self):
-        qs = QueryStats(qid=0)
-        qs.record_index_node(1, 3)
-        qs.record_index_node(2, 7)
-        qs.record_index_node(3, 5)
+        c = StatsCollector()
+        _solve(c, 0, 1, 3)
+        _solve(c, 0, 2, 7)
+        _solve(c, 0, 3, 5)
+        qs = c.for_query(0)
         assert qs.max_hops == 7
         assert qs.index_nodes == {1, 2, 3}
 
     def test_bandwidth_split(self):
-        qs = QueryStats(qid=0)
-        qs.record_query_message(100)
-        qs.record_query_message(50)
-        qs.record_result_message(26, at=1.0)
+        c = StatsCollector()
+        _send(c, 0, 100)
+        _send(c, 0, 50, attempt=2)
+        _send(c, 0, 80, charged=False)  # a result reply: billed on arrival
+        _result(c, 0, at=1.0)
+        _result(c, 0, at=1.0, size=0)  # a local reply
+        c.fold(0, "route", 1, 0.0, {"hops": 0})  # no cost meaning
+        qs = c.for_query(0)
+        assert qs.retransmissions == 1
         assert qs.query_bytes == 150
         assert qs.result_bytes == 26
         assert qs.total_bytes == 176
         assert qs.query_messages == 2
-        assert qs.result_messages == 1
+        assert qs.result_messages == 2
 
     def test_collector_aggregates(self):
         c = StatsCollector()
         for qid, (hops, rt) in enumerate([(2, 0.1), (4, 0.3)]):
-            qs = c.for_query(qid)
-            qs.issued_at = 0.0
-            qs.record_index_node(qid, hops)
-            qs.record_result_message(26, at=rt)
+            c.for_query(qid).issued_at = 0.0
+            _solve(c, qid, qid, hops)
+            _result(c, qid, at=rt)
         assert c.mean_hops() == pytest.approx(3.0)
         assert c.mean_response_time() == pytest.approx(0.2)
         summary = c.summary()
