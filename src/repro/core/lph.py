@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.index_space import IndexSpaceBounds
-from repro.util.bits import bit_at
 
 __all__ = [
     "lp_hash",
@@ -110,7 +109,7 @@ def dimension_range(
     i = dim + 1
     while i <= upto:
         mid = (lo + hi) / 2.0
-        if bit_at(prefix_key, i, m):
+        if (prefix_key >> (m - i)) & 1:  # bit i from the left
             lo = mid
         else:
             hi = mid
@@ -131,7 +130,7 @@ def prefix_to_cuboid(
     for i in range(1, prefix_len + 1):
         j = (i - 1) % k
         mid = (lo[j] + hi[j]) / 2.0
-        if bit_at(prefix_key, i, m):
+        if (prefix_key >> (m - i)) & 1:  # bit i from the left
             lo[j] = mid
         else:
             hi[j] = mid

@@ -68,7 +68,7 @@ from repro.sim.messages import ResultEntry, ResultMessage, query_message_size
 from repro.sim.transport import DROPPED_DEAD, Protocol
 from repro.util.bits import first_zero_bit, prefix_of, same_prefix, set_bit_at
 
-__all__ = ["QueryProtocol"]
+__all__ = ["QueryProtocol", "intersecting_siblings"]
 
 
 class QueryProtocol(Protocol):
@@ -484,33 +484,33 @@ class QueryProtocol(Protocol):
                 self.checker.on_refine(q, eff, key_lo, key_hi, [])
             self._solve_local(node, q, hops, key_lo, key_hi)
             return
-        # Keys in (eff, key_hi] decompose into the canonical sibling cuboids
-        # at each zero bit of eff — the prefixes Algorithm 5 forwards.
-        siblings: list[tuple[int, int]] = []
-        jj: int | None = j
-        while jj is not None:
-            siblings.append((set_bit_at(prefix_of(eff, jj - 1, m), jj, m), jj))
-            jj = first_zero_bit(eff, jj + 1, m)
         if self.checker is not None:
+            # Keys in (eff, key_hi] decompose into the canonical sibling
+            # cuboids at each zero bit of eff — the prefixes Algorithm 5
+            # forwards.
+            siblings: list[tuple[int, int]] = []
+            jj: int | None = j
+            while jj is not None:
+                siblings.append((set_bit_at(prefix_of(eff, jj - 1, m), jj, m), jj))
+                jj = first_zero_bit(eff, jj + 1, m)
             self.checker.on_refine(q, eff, key_lo, eff, siblings)
         # The node owns [key_lo, eff]; answer that slice of the rectangle.
         self._solve_local(node, q, hops, key_lo, eff)
-        for sib_prefix, jj in siblings:
-            lows, highs = prefix_to_cuboid(sib_prefix, jj, self.index.bounds, m)
-            nl = np.maximum(q.rect.lows, lows)
-            nh = np.minimum(q.rect.highs, highs)
-            if np.all(nl <= nh):
-                sq = RangeQuery(
-                    rect=Rect(nl, nh),
-                    prefix_key=sib_prefix,
-                    prefix_len=jj,
-                    qid=q.qid,
-                    source=q.source,
-                    index_name=q.index_name,
-                    payload=q.payload,
-                    radius=q.radius,
-                )
-                self._query_routing(node, sq, hops)
+        lows, highs = prefix_to_cuboid(q.prefix_key, q.prefix_len, self.index.bounds, m)
+        for sib_prefix, jj, nl, nh in intersecting_siblings(
+            q.rect, lows, highs, q.prefix_len, eff, m,
+        ):
+            sq = RangeQuery(
+                rect=Rect(nl, nh),
+                prefix_key=sib_prefix,
+                prefix_len=jj,
+                qid=q.qid,
+                source=q.source,
+                index_name=q.index_name,
+                payload=q.payload,
+                radius=q.radius,
+            )
+            self._query_routing(node, sq, hops)
 
     def _surrogate_refine_literal(self, node: Any, q: RangeQuery, hops: int) -> None:
         m = self.index.m
@@ -600,3 +600,60 @@ class QueryProtocol(Protocol):
         )
         if self.engine is not None:
             self.engine.add_entries(qid, msg.entries)
+
+
+def intersecting_siblings(
+    rect: Rect,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    prefix_len: int,
+    eff: int,
+    m: int,
+) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The sibling cuboids of Algorithm 5 that overlap ``rect``, in one descent.
+
+    ``lows``/``highs`` is the cuboid claimed by the first ``prefix_len`` bits
+    of ``eff`` (the node's rotation-adjusted identifier).  Walking positions
+    ``prefix_len + 1 .. m`` along the bits of ``eff`` halves one dimension
+    per position; at each zero bit the higher half is that position's
+    sibling.  Returns ``(prefix_key, prefix_len, nl, nh)`` for every sibling
+    whose closed box meets ``rect``, ``nl``/``nh`` being the intersection,
+    ordered by position.
+
+    The midpoints are the ones :func:`repro.core.lph.prefix_to_cuboid`
+    computes, so each sibling is bit-identical to rebuilding it from the
+    root.  The path cuboid only shrinks and holds every deeper sibling, so
+    the walk stops as soon as the path misses ``rect``.
+    """
+    if not np.all(np.maximum(rect.lows, lows) <= np.minimum(rect.highs, highs)):
+        return []
+    k = len(lows)
+    lo = lows.tolist()
+    hi = highs.tolist()
+    rl = rect.lows.tolist()
+    rh = rect.highs.tolist()
+    # past the last zero bit of eff only 1-bits remain: no further sibling
+    last = m - ((eff ^ (eff + 1)).bit_length() - 1)
+    out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    # The path cuboid meets rect in every dimension (checked above); each
+    # step changes dimension j only, so only j needs re-testing.
+    for i in range(prefix_len + 1, last + 1):
+        j = (i - 1) % k
+        mid = (lo[j] + hi[j]) / 2.0
+        shift = m - i
+        if (eff >> shift) & 1:
+            if max(rl[j], mid) > min(rh[j], hi[j]):
+                break
+            lo[j] = mid
+            continue
+        if max(rl[j], mid) <= min(rh[j], hi[j]):
+            sib_lows = lo.copy()
+            sib_lows[j] = mid
+            out.append((
+                ((eff >> shift) | 1) << shift, i,
+                np.maximum(rect.lows, sib_lows), np.minimum(rect.highs, hi),
+            ))
+        if max(rl[j], lo[j]) > min(rh[j], mid):
+            break
+        hi[j] = mid
+    return out

@@ -132,10 +132,15 @@ class NodeProcess:
     async def close(self) -> None:
         """Graceful local shutdown (crash tests just SIGKILL the process)."""
         self._running = False
-        if self._stabilize_task is not None:
-            self._stabilize_task.cancel()
-            self._stabilize_task = None
+        task, self._stabilize_task = self._stabilize_task, None
+        if task is not None:
+            task.cancel()
         await self.transport.close()
+        if task is not None:
+            # awaited after the transport closed: asyncio.wait_for can turn
+            # the cancel into the rpc's "transport closed" error, and the
+            # loop then ends on _running instead
+            await asyncio.gather(task, return_exceptions=True)
         self.shard.close()
 
     def _recover_overlay_state(self) -> None:

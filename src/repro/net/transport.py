@@ -188,11 +188,14 @@ class _PeerConnection:
     async def close(self) -> None:
         self.closed = True
         self.wake.set()
-        if self.task is not None:
-            self.task.cancel()
-        if self.reader_task is not None:
-            self.reader_task.cancel()
-            self.reader_task = None
+        # await the cancelled tasks: a task still pending when the loop
+        # closes is destroyed with "Task was destroyed but it is pending"
+        tasks = [t for t in (self.task, self.reader_task) if t is not None]
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        self.reader_task = None
         if self.writer is not None:
             self.writer.close()
             try:
@@ -462,6 +465,10 @@ class TcpTransport:
             return True
         if self._faulted(rec, dst_addr, on_drop):
             return False
+        if self._closed:
+            # no new connection after close: its writer task would outlive
+            # the transport, pending until the loop destroys it
+            return self._drop(rec, DROPPED_DEAD, on_drop)
         frame = self.framer.encode({
             "v": 1, "t": "msg", "kind": kind, "src": self._src_info(),
             "qid": qid, "size": size, "attempt": attempt,
@@ -479,6 +486,8 @@ class TcpTransport:
         self._account_send(kind, size)
         if self._faulted(rec, dst_addr, None):
             raise RpcTimeout(f"rpc {kind} to {dst_addr}: dropped by fault injection")
+        if self._closed:
+            raise RpcError(f"rpc {kind} to {dst_addr}: transport closed")
         loop = self._require_loop()
         rid = self._next_rid
         self._next_rid += 1

@@ -7,8 +7,10 @@ from repro.core.loadbalance import (
     hotspot_overlap,
     probe_neighbourhood,
 )
-from repro.core.naive import NaiveProtocol, decompose_to_owner_cuboids
+from repro.core.lph import prefix_to_cuboid
+from repro.core.naive import NaiveProtocol, _no_node_inside, decompose_to_owner_cuboids
 from repro.core.platform import IndexPlatform
+from repro.core.query import Rect
 from repro.dht.ring import ChordRing
 from repro.eval.ground_truth import exact_range
 from repro.metric.vector import EuclideanMetric
@@ -127,7 +129,58 @@ class TestRotationHotspots:
         assert hotspot_overlap(platform) == 1.0
 
 
+def _decompose_from_root(index, rect):
+    """Reference decomposition: every stack entry rebuilds its cuboid from
+    the root with prefix_to_cuboid."""
+    m = index.m
+    ring = index.ring
+    mask = (1 << m) - 1
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        prefix_key, prefix_len = stack.pop()
+        lows, highs = prefix_to_cuboid(prefix_key, prefix_len, index.bounds, m)
+        nl = np.maximum(rect.lows, lows)
+        nh = np.minimum(rect.highs, highs)
+        if np.any(nl > nh):
+            continue
+        span = 1 << (m - prefix_len)
+        key_lo = (prefix_key + index.rotation) & mask
+        key_hi = (prefix_key + span - 1 + index.rotation) & mask
+        single = ring.successor_of(key_lo) is ring.successor_of(key_hi) and (
+            _no_node_inside(ring, key_lo, key_hi, m)
+        )
+        if single or prefix_len == m:
+            out.append((prefix_key, prefix_len, nl, nh))
+            continue
+        child_len = prefix_len + 1
+        stack.append((prefix_key, child_len))
+        stack.append((prefix_key | (1 << (m - child_len)), child_len))
+    return out
+
+
 class TestNaiveDecomposition:
+    def test_matches_rebuild_from_root(self):
+        """Halving each parent yields the same pieces, bit for bit, in the
+        same order as rebuilding every cuboid from the root."""
+        for rotation in (False, True):
+            platform, data = _skewed_platform(rotation=rotation)
+            index = platform.indexes["idx"]
+            rects = [index.make_query(data[qi], r).rect
+                     for qi, r in ((0, 10.0), (5, 2.0), (17, 40.0))]
+            mid = (index.bounds.lows + index.bounds.highs) / 2.0
+            rects.append(Rect(mid, mid))  # degenerate, on split planes
+            rects.append(Rect(index.bounds.lows, mid))
+            for rect in rects:
+                got = decompose_to_owner_cuboids(index, rect)
+                want = _decompose_from_root(index, rect)
+                assert [(pk, pl) for pk, pl, _, _ in got] == [
+                    (pk, pl) for pk, pl, _, _ in want
+                ]
+                for (_, _, gl, gh), (_, _, wl, wh) in zip(got, want):
+                    assert gl.tobytes() == wl.tobytes()
+                    assert gh.tobytes() == wh.tobytes()
+
     def test_covers_query_rect(self):
         platform, data = _skewed_platform()
         index = platform.indexes["idx"]

@@ -9,10 +9,15 @@ per-node top-k).  Hypothesis drives the parameters.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.index_space import IndexSpaceBounds
+from repro.core.lph import prefix_to_cuboid
 from repro.core.platform import IndexPlatform
+from repro.core.query import Rect
+from repro.core.routing import intersecting_siblings
 from repro.dht.ring import ChordRing
 from repro.eval.ground_truth import exact_range
 from repro.metric.vector import EuclideanMetric, ManhattanMetric
+from repro.util.bits import first_zero_bit, prefix_of, set_bit_at
 
 DIM = 3
 
@@ -84,3 +89,66 @@ def test_query_cost_bounded(seed, radius):
     # by the query messages that delivered them (each message bundles >= 1)
     assert st_.result_messages >= 1
     assert st_.result_messages <= 2 * (st_.query_messages + 1) * 8
+
+
+def _siblings_from_root(rect, prefix_len, eff, bounds, m):
+    """Reference for :func:`intersecting_siblings`: rebuild each sibling
+    cuboid (one per zero bit of ``eff`` past ``prefix_len``) from the root
+    and keep it when its closed box meets ``rect``."""
+    out = []
+    j = first_zero_bit(eff, prefix_len + 1, m)
+    while j is not None:
+        sib = set_bit_at(prefix_of(eff, j - 1, m), j, m)
+        lows, highs = prefix_to_cuboid(sib, j, bounds, m)
+        nl = np.maximum(rect.lows, lows)
+        nh = np.minimum(rect.highs, highs)
+        if np.all(nl <= nh):
+            out.append((sib, j, nl, nh))
+        j = first_zero_bit(eff, j + 1, m)
+    return out
+
+
+@st.composite
+def _descent_case(draw):
+    m = draw(st.sampled_from([8, 16, 32, 64]))
+    k = draw(st.integers(1, 6))
+    # dyadic bounds and coordinates: every split plane is exactly
+    # representable, so rectangles can touch one
+    lows = np.array([draw(st.sampled_from([-8.0, 0.0, 3.0])) for _ in range(k)])
+    spans = np.array([draw(st.sampled_from([1.0, 6.0, 1000.0])) for _ in range(k)])
+    bounds = IndexSpaceBounds(lows, lows + spans)
+    eff = draw(st.integers(0, (1 << m) - 1))
+    prefix_len = draw(st.integers(0, m))
+    # coordinates on a dyadic grid of the claimed cuboid (touching its split
+    # planes) or of the whole space (often missing the claimed cuboid)
+    clo, chi = prefix_to_cuboid(prefix_of(eff, prefix_len, m), prefix_len, bounds, m)
+    if draw(st.sampled_from(["claimed", "claimed", "claimed", "space"])) == "space":
+        clo, chi = bounds.lows, bounds.highs
+    depth = draw(st.integers(0, 12))
+    grid = st.integers(0, 1 << depth)
+    a = np.array([draw(grid) for _ in range(k)], dtype=np.float64)
+    b = np.array([draw(grid) for _ in range(k)], dtype=np.float64)
+    shape = draw(st.sampled_from(["box", "box", "box", "point", "unordered"]))
+    if shape == "point":
+        b = a.copy()  # degenerate: zero extent in every dimension
+    elif shape == "box":
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    scale = (chi - clo) / (1 << depth)
+    rect = Rect(clo + a * scale, clo + b * scale)
+    return rect, prefix_len, eff, bounds, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_descent_case())
+def test_sibling_descent_matches_rebuild_from_root(case):
+    """One descent along eff yields exactly the siblings, clipped
+    rectangles and order that rebuilding each sibling from the root does."""
+    rect, prefix_len, eff, bounds, m = case
+    lows, highs = prefix_to_cuboid(prefix_of(eff, prefix_len, m), prefix_len, bounds, m)
+    got = intersecting_siblings(rect, lows, highs, prefix_len, eff, m)
+    want = _siblings_from_root(rect, prefix_len, eff, bounds, m)
+    assert [(pk, pl) for pk, pl, _, _ in got] == [(pk, pl) for pk, pl, _, _ in want]
+    for (_, _, gl, gh), (_, _, wl, wh) in zip(got, want):
+        assert gl.dtype == wl.dtype and gh.dtype == wh.dtype
+        assert gl.tobytes() == wl.tobytes()
+        assert gh.tobytes() == wh.tobytes()

@@ -6,11 +6,14 @@ where ownership intervals are known exactly.
 
 import numpy as np
 
+from repro.core import routing
 from repro.core.index_space import IndexSpaceBounds
 from repro.core.query import RangeQuery, Rect
+from repro.core.platform import IndexPlatform
 from repro.core.routing import QueryProtocol
 from repro.core.storage import Shard
 from repro.dht.ring import ChordRing
+from repro.metric.vector import EuclideanMetric
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
 from repro.util.bits import first_zero_bit, prefix_of
@@ -122,6 +125,48 @@ class TestFixedSurrogate:
             j = first_zero_bit(eff, j + 1, M)
         assert zeros == [2, 4, 5, 6, 7, 8]
         assert prefix_of(eff, 1, M) == 0b10000000
+
+
+class TestRefineCost:
+    def test_at_most_one_cuboid_rebuild_per_refine(self, monkeypatch):
+        """Fixed mode enumerates a refine's sibling cuboids in one descent:
+        prefix_to_cuboid runs at most once per surrogate refine, not once
+        per sibling."""
+        rng = np.random.default_rng(3)
+        data = rng.uniform(0, 100, size=(400, 4))
+        ring = ChordRing.build(32, m=32, seed=3)
+        platform = IndexPlatform(ring)
+        platform.create_index("idx", data, EuclideanMetric(box=(0, 100), dim=4),
+                              k=4, sample_size=100, seed=3)
+        counts = {"cuboids": 0, "refines": 0, "forwarded": 0}
+        real_cuboid = routing.prefix_to_cuboid
+        real_refine = QueryProtocol._surrogate_refine_fixed
+        real_siblings = routing.intersecting_siblings
+
+        def counting_cuboid(*a, **kw):
+            counts["cuboids"] += 1
+            return real_cuboid(*a, **kw)
+
+        def counting_refine(self, *a, **kw):
+            counts["refines"] += 1
+            return real_refine(self, *a, **kw)
+
+        def counting_siblings(*a, **kw):
+            out = real_siblings(*a, **kw)
+            counts["forwarded"] += len(out)
+            return out
+
+        monkeypatch.setattr(routing, "prefix_to_cuboid", counting_cuboid)
+        monkeypatch.setattr(routing, "intersecting_siblings", counting_siblings)
+        monkeypatch.setattr(QueryProtocol, "_surrogate_refine_fixed", counting_refine)
+        proto, stats = platform.protocol("idx")
+        index = platform.indexes["idx"]
+        for qid, qi in enumerate(range(0, 400, 40)):
+            proto.issue(index.make_query(data[qi], 30.0, qid=qid), ring.nodes()[qid])
+        platform.sim.run()
+        assert counts["refines"] >= 10
+        assert counts["forwarded"] > 0  # the workload does forward siblings
+        assert 0 < counts["cuboids"] <= counts["refines"]
 
 
 class TestLiteralVsFixedUnit:

@@ -195,3 +195,63 @@ def test_local_rpc_answer_task_handle_is_kept():
         await transport.close()
 
     asyncio.run(scenario())
+
+
+def test_close_leaves_no_pending_task():
+    """Closing with a message still queued to an unreachable peer awaits
+    the cancelled writer (and reader) tasks: none is left pending for the
+    event loop to destroy."""
+    import asyncio
+
+    from repro.net.transport import TcpTransport
+
+    async def scenario():
+        # a port that refuses connections: bind a listener, then close it
+        probe = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
+        port = probe.sockets[0].getsockname()[1]
+        probe.close()
+        await probe.wait_closed()
+
+        transport = TcpTransport(node_id=0, host=0, reconnect_base=0.5)
+        await transport.start()
+        before = asyncio.all_tasks()
+        transport.send(f"127.0.0.1:{port}", "ping", {"n": 1})
+        await asyncio.sleep(0.05)  # the writer is now in its reconnect backoff
+        conn = next(iter(transport._pool.values()))
+        assert conn.queue, "message should still be queued"
+        spawned = asyncio.all_tasks() - before
+        assert spawned, "the writer task should be running"
+        await transport.close()
+        pending = [t for t in spawned if not t.done()]
+        assert not pending, f"tasks left pending after close: {pending}"
+
+    asyncio.run(scenario())
+
+
+def test_closed_transport_opens_no_connection():
+    """A send or rpc after close spawns no writer task: the pool is already
+    cleared, so nothing would ever close it."""
+    import asyncio
+
+    from repro.net.transport import RpcError, TcpTransport
+    from repro.sim.transport import DROPPED_DEAD
+
+    async def scenario():
+        peer = TcpTransport(node_id=1, host=1)
+        await peer.start()
+        transport = TcpTransport(node_id=0, host=0)
+        await transport.start()
+        await transport.close()
+        before = asyncio.all_tasks()
+        drops = []
+        assert not transport.send(peer.addr, "ping", {"n": 1}, on_drop=drops.append)
+        assert [r.status for r in drops] == [DROPPED_DEAD]
+        with pytest.raises(RpcError):
+            await transport.rpc(peer.addr, "ping", {"n": 2})
+        with pytest.raises(RpcError):
+            await transport.rpc(transport.addr, "ping", {"n": 3})
+        assert asyncio.all_tasks() == before
+        assert not transport._pool
+        await peer.close()
+
+    asyncio.run(scenario())
